@@ -16,15 +16,13 @@ use crate::merge;
 use crate::report::{experiment_json, report_text, run_experiment};
 use crate::runner::{Runner, Shard, Supervision};
 use crate::telemetry::{self, Telemetry};
-use gm_results::{RemoteStore, ResultStore};
+use gm_results::ResultStore;
 use gm_stats::Json;
 use gm_workloads::Scale;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Process exit codes, shared by every `gm-run` entry point (and by
-/// `gm-serve`, whose codes are documented to match). Centralised so the
-/// meanings cannot drift between subcommands.
+/// Process exit codes, shared by every `gm-run` entry point.
+/// Centralised so the meanings cannot drift between subcommands.
 pub mod exit {
     /// Full success.
     pub const OK: i32 = 0;
@@ -71,9 +69,6 @@ pub struct Options {
     pub inject: Option<FaultPlan>,
     /// With `--store`: fsync every appended record (crash durability).
     pub store_sync: bool,
-    /// Fetch/push job results through a `gm-serve` result service at
-    /// this address (requires `--store`).
-    pub remote: Option<String>,
     /// List registered experiments instead of running.
     pub list: bool,
     /// Substring filter selecting experiments to run (gm-run only).
@@ -97,7 +92,6 @@ impl Default for Options {
             strict: false,
             inject: None,
             store_sync: false,
-            remote: None,
             list: false,
             filter: None,
             help: false,
@@ -131,9 +125,6 @@ pub fn usage(program: &str, selection: bool) -> String {
          \x20 --expect-cached            with --store: fail if any job had to be simulated\n\
          \x20                            (misses caused by store damage warn instead)\n\
          \x20 --store-sync               with --store: fsync every appended record\n\
-         \x20 --remote <ADDR>            with --store: fetch/push job results through the\n\
-         \x20                            gm-serve result service at ADDR; an unreachable or\n\
-         \x20                            failing service degrades to local simulation\n\
          \x20 --telemetry <FILE>         append JSON-lines run/experiment/job span events to FILE\n\
          \x20 --retries <N>              extra attempts per failed job (default: 1)\n\
          \x20 --budget <SECS>            per-job wall-clock budget; over-budget jobs fail\n\
@@ -204,7 +195,6 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
             "--store" => opts.store = Some(value("--store", &mut it)?),
             "--expect-cached" => opts.expect_cached = true,
             "--store-sync" => opts.store_sync = true,
-            "--remote" => opts.remote = Some(value("--remote", &mut it)?),
             "--telemetry" => opts.telemetry = Some(value("--telemetry", &mut it)?),
             "--retries" => {
                 let v = value("--retries", &mut it)?;
@@ -234,9 +224,6 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
     }
     if opts.store_sync && opts.store.is_none() {
         return Err("--store-sync requires --store".into());
-    }
-    if opts.remote.is_some() && opts.store.is_none() {
-        return Err("--remote requires --store (remote hits land in the local store)".into());
     }
     if opts.shard.is_some() && opts.json.is_none() && !opts.list && !opts.help {
         return Err("--shard requires --json (the shard document is the run's output)".into());
@@ -297,15 +284,6 @@ fn build_runner(opts: &Options) -> Runner {
     });
     if let Some(plan) = &opts.inject {
         runner = runner.with_faults(plan.clone());
-    }
-    if let Some(addr) = &opts.remote {
-        let mut remote = RemoteStore::new(addr.clone());
-        if let Some(dir) = &opts.store {
-            // Garbage the remote sends lands next to the local store's
-            // own quarantine sidecars, where `gm-run store` reports it.
-            remote = remote.with_quarantine(std::path::Path::new(dir).join("remote.quarantine"));
-        }
-        runner = runner.with_remote(Arc::new(remote));
     }
     runner
 }
@@ -457,12 +435,6 @@ fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
                     mcycles_per_s(out.sim_cycles, out.sim_wall_us)
                 ));
             }
-            if opts.remote.is_some() {
-                line.push_str(&format!(
-                    ", remote: {} fetched, {} pushed",
-                    out.cache.remote_hits, out.cache.remote_pushes
-                ));
-            }
             if let Some((label, us)) = &out.slowest {
                 line.push_str(&format!(" (slowest {label} {:.2}s)", seconds(*us)));
             }
@@ -544,12 +516,6 @@ fn run_shard_and_emit(program: &str, experiments: &[Experiment], opts: &Options,
                     seconds(run.sim_wall_us()),
                     mcycles_per_s(run.sim_cycles(), run.sim_wall_us()),
                 );
-                if opts.remote.is_some() {
-                    line.push_str(&format!(
-                        ", remote: {} fetched, {} pushed",
-                        run.cache.remote_hits, run.cache.remote_pushes
-                    ));
-                }
                 if !run.failures.is_empty() {
                     line.push_str(&format!(", {} FAILED", run.failures.len()));
                     for f in &run.failures {
@@ -1213,7 +1179,7 @@ fn bench_main(args: &[String]) {
                 print!("{}", bench_usage());
                 std::process::exit(exit::OK);
             }
-            if opts.store.is_some() || opts.remote.is_some() || opts.shard.is_some() || opts.list {
+            if opts.store.is_some() || opts.shard.is_some() || opts.list {
                 eprint!(
                     "{program}: bench always runs cold and unsharded\n\n{}",
                     bench_usage()
@@ -1614,8 +1580,10 @@ fn store_main(args: &[String]) {
         total_q_lines.to_string(),
     ]);
     print!("{}", table.render());
-    // Sidecars without a matching store file (e.g. `remote.quarantine`,
-    // written by the --remote client) would otherwise be invisible.
+    // Sidecars without a matching store file would otherwise be
+    // invisible. They outlive what wrote them: older binaries left
+    // `remote.quarantine` from the retired `--remote` client, and `--gc`
+    // deletes a removed experiment's store file but keeps its sidecar.
     let orphan_sidecars: Vec<String> = {
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .ok()
@@ -1874,8 +1842,15 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_not_ignored() {
-        let e = parse(&args(&["--scal", "test"]), false).unwrap_err();
-        assert!(e.contains("unknown argument"), "{e}");
+        // `--remote` is a retired flag: a script still passing it must
+        // fail loudly instead of silently running without it.
+        for input in [
+            &["--scal", "test"][..],
+            &["--store", ".gm-store", "--remote", "127.0.0.1:4460"],
+        ] {
+            let e = parse(&args(input), true).unwrap_err();
+            assert!(e.contains("unknown argument"), "{e}");
+        }
         // Positional junk is rejected too.
         assert!(parse(&args(&["fig6"]), false).is_err());
     }
@@ -1946,8 +1921,8 @@ mod tests {
 
     #[test]
     fn exit_codes_are_stable_and_documented() {
-        // The table below is a public contract (CI scripts and the
-        // result-service docs rely on it); renumbering is a break.
+        // The table below is a public contract (CI scripts rely on
+        // it); renumbering is a break.
         assert_eq!(exit::OK, 0);
         assert_eq!(exit::FAILURE, 1);
         assert_eq!(exit::USAGE, 2);
@@ -1962,19 +1937,6 @@ mod tests {
         ] {
             assert!(u.contains(line), "{line:?} missing from usage");
         }
-    }
-
-    #[test]
-    fn remote_requires_a_store() {
-        let e = parse(&args(&["--remote", "127.0.0.1:4460"]), false).unwrap_err();
-        assert!(e.contains("--store"), "{e}");
-        let o = parse(
-            &args(&["--store", ".gm-store", "--remote", "127.0.0.1:4460"]),
-            false,
-        )
-        .unwrap();
-        assert_eq!(o.remote.as_deref(), Some("127.0.0.1:4460"));
-        assert!(parse(&args(&["--remote"]), false).is_err());
     }
 
     #[test]
@@ -2034,7 +1996,6 @@ mod tests {
             "--strict",
             "--inject",
             "--store-sync",
-            "--remote",
             "merge",
             "bench",
             "store",

@@ -1,5 +1,5 @@
 //! The experiment harness behind every figure/table binary and the
-//! Criterion benches.
+//! `gm-run` driver.
 //!
 //! The subsystem is layered:
 //!

@@ -31,15 +31,13 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::run_unit;
 use crate::telemetry::Telemetry;
 use ghostminion::{MachineResult, Scheme, SystemConfig};
-use gm_results::{
-    job_fingerprint, job_record, record_wall_us, result_from_record, RemoteStore, ResultStore,
-};
+use gm_results::{job_fingerprint, job_record, record_wall_us, result_from_record, ResultStore};
 use gm_workloads::{Scale, WorkloadSet, WorkloadUnit};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One deterministic partition of a job list: the `index`th (1-based) of
@@ -171,12 +169,6 @@ pub struct CacheStats {
     /// re-simulation, not a cache regression — `--expect-cached` warns
     /// instead of aborting when this is nonzero.
     pub corrupt: usize,
-    /// Jobs reconstructed from the remote result service (a subset of
-    /// `hits`: a remote hit lands in the local store and counts as
-    /// cached, so `--expect-cached` passes on a warm-through-remote run).
-    pub remote_hits: usize,
-    /// Fresh results successfully pushed to the remote result service.
-    pub remote_pushes: usize,
 }
 
 /// One finished job: the simulation result plus its store metadata.
@@ -296,9 +288,6 @@ pub struct Runner {
     jobs: usize,
     supervision: Supervision,
     faults: FaultPlan,
-    /// Optional result-service client consulted between the local store
-    /// and simulation (see [`Runner::with_remote`]).
-    remote: Option<Arc<RemoteStore>>,
 }
 
 impl Runner {
@@ -314,23 +303,7 @@ impl Runner {
             jobs,
             supervision: Supervision::default(),
             faults: FaultPlan::none(),
-            remote: None,
         }
-    }
-
-    /// Attaches a remote result service consulted on every local cache
-    /// miss (fetch before simulating, push after). The remote is purely
-    /// an accelerator: every failure mode — unreachable, mid-operation
-    /// crash, garbled responses — degrades to simulating locally, and
-    /// the sweep's outputs are byte-identical with or without it.
-    pub fn with_remote(mut self, remote: Arc<RemoteStore>) -> Self {
-        self.remote = Some(remote);
-        self
-    }
-
-    /// The attached remote result service, if any.
-    pub fn remote(&self) -> Option<&RemoteStore> {
-        self.remote.as_deref()
     }
 
     /// Replaces the supervision policy (attempts are clamped to >= 1).
@@ -613,10 +586,6 @@ impl Runner {
             .filter(|&(flat, _)| ownership[flat])
             .map(|(flat, &(u, s))| (flat, u, s))
             .collect();
-        // Per-sweep remote outcome tallies (the RemoteStore's own
-        // counters span the whole process, not one experiment).
-        let remote_hit_count = AtomicUsize::new(0);
-        let remote_push_count = AtomicUsize::new(0);
         let jobs = self.map(&owned, |&(flat, u, s)| {
             let unit = &set.units[u];
             let scheme = sweep.schemes[s].scheme;
@@ -644,73 +613,13 @@ impl Runner {
                         });
                     }
                 }
-                // Local miss: ask the remote service before simulating.
-                // A verified remote record replays exactly like a local
-                // hit (its original wall_us included), and is appended
-                // locally so the next run hits without the network.
-                if let Some(remote) = &self.remote {
-                    if let Some(record) = remote.get(experiment, &fingerprint) {
-                        let reconstructed = result_from_record(&record, unit.name, scheme.name())
-                            .and_then(|result| Ok((result, record_wall_us(&record)?)));
-                        if let Ok((result, wall_us)) = reconstructed {
-                            if let Some(tel) = telemetry {
-                                tel.emit("remote_hit", |j| {
-                                    j.set("experiment", experiment)
-                                        .set("workload", unit.name)
-                                        .set("scheme", label)
-                                        .set("fingerprint", fingerprint.as_str());
-                                });
-                            }
-                            if let Some(st) = store {
-                                if let Err(e) = st.append(experiment, &record) {
-                                    eprintln!(
-                                        "warning: cannot append to store for {experiment}: {e}"
-                                    );
-                                }
-                            }
-                            remote_hit_count.fetch_add(1, Ordering::Relaxed);
-                            return Ok(Job {
-                                result,
-                                wall_us,
-                                fingerprint: fingerprint.clone(),
-                                cached: true,
-                            });
-                        }
-                        // Verified transport, but the record fails schema
-                        // reconstruction (wrong identity, old version):
-                        // fall through and re-simulate.
-                    }
-                    if let Some(tel) = telemetry {
-                        tel.emit("remote_miss", |j| {
-                            j.set("experiment", experiment)
-                                .set("workload", unit.name)
-                                .set("scheme", label)
-                                .set("fingerprint", fingerprint.as_str());
-                        });
-                    }
-                }
                 let (result, wall_us) =
                     self.run_supervised(experiment, unit, scheme, label, sweep.config, telemetry)?;
-                if store.is_some() || self.remote.is_some() {
+                if let Some(st) = store {
                     let record = job_record(unit.name, label, &result, wall_us, &fingerprint);
-                    if let Some(st) = store {
-                        if let Err(e) = st.append(experiment, &record) {
-                            // Losing cache warmth is not worth failing the run.
-                            eprintln!("warning: cannot append to store for {experiment}: {e}");
-                        }
-                    }
-                    if let Some(remote) = &self.remote {
-                        if remote.put(experiment, &record) {
-                            remote_push_count.fetch_add(1, Ordering::Relaxed);
-                            if let Some(tel) = telemetry {
-                                tel.emit("remote_push", |j| {
-                                    j.set("experiment", experiment)
-                                        .set("workload", unit.name)
-                                        .set("scheme", label)
-                                        .set("fingerprint", fingerprint.as_str());
-                                });
-                            }
-                        }
+                    if let Err(e) = st.append(experiment, &record) {
+                        // Losing cache warmth is not worth failing the run.
+                        eprintln!("warning: cannot append to store for {experiment}: {e}");
                     }
                 }
                 Ok(Job {
@@ -745,22 +654,8 @@ impl Runner {
         let mut rows: Vec<Vec<Option<Job>>> = (0..set.units.len())
             .map(|_| (0..nschemes).map(|_| None).collect())
             .collect();
-        // The breaker trip is reported once, after the parallel map:
-        // with no job spans open the event's position in the telemetry
-        // stream is deterministic regardless of worker count.
-        if let Some(remote) = &self.remote {
-            if remote.take_degradation_event() {
-                if let Some(tel) = telemetry {
-                    tel.emit("remote_degraded", |j| {
-                        j.set("experiment", experiment).set("addr", remote.addr());
-                    });
-                }
-            }
-        }
         let mut cache = CacheStats {
             corrupt: store_corrupt,
-            remote_hits: remote_hit_count.into_inner(),
-            remote_pushes: remote_push_count.into_inner(),
             ..CacheStats::default()
         };
         let mut failures = Vec::new();

@@ -3,8 +3,8 @@
 //! With `--telemetry FILE`, the driver appends one JSON object per line
 //! to `FILE` as the run progresses: paired span events for the run, each
 //! experiment, and each (workload × scheme) job, carrying fingerprints,
-//! cache outcomes, and simulation wall-clock. The stream is the future
-//! `gm-serve` wire contract, so it is deliberately narrow:
+//! cache outcomes, and simulation wall-clock. Scripts and CI consume the
+//! stream, so it is deliberately narrow:
 //!
 //! * every line parses with the strict [`gm_stats::Json`] parser;
 //! * spans balance — `run_start`/`run_end` bracket the file,
@@ -14,11 +14,6 @@
 //!   (experiment, workload, scheme) identity before its experiment
 //!   ends; `job_retry` events may appear inside an open job span and
 //!   close nothing;
-//! * remote result-service outcomes nest the same way: `remote_hit`,
-//!   `remote_miss`, and `remote_push` appear inside an open job span;
-//!   `remote_degraded` (the circuit breaker tripped, the run continued
-//!   local-only) appears at most once per experiment, after every job
-//!   span has closed;
 //! * no field depends on the worker count, so `--jobs 1` and `--jobs N`
 //!   emit the same event *set* (job events may interleave differently);
 //! * there are no time-of-day stamps — `wall_us` is simulation
@@ -102,12 +97,6 @@ pub struct TelemetrySummary {
     pub failed: usize,
     /// `job_retry` events (supervised attempts that were retried).
     pub retries: usize,
-    /// Remote result-service outcomes (`remote_hit`, `remote_miss`,
-    /// `remote_push`).
-    pub remote: usize,
-    /// `remote_degraded` events (the circuit breaker tripped and the
-    /// run continued local-only).
-    pub degraded: usize,
 }
 
 fn field<'a>(j: &'a Json, line: usize, key: &str) -> Result<&'a Json, String> {
@@ -261,44 +250,6 @@ pub fn validate(text: &str) -> Result<TelemetrySummary, String> {
                 u64_field(&j, line, "attempt")?;
                 str_field(&j, line, "kind")?;
                 summary.retries += 1;
-            }
-            // Remote result-service outcomes: hit/miss/push happen while
-            // the job's span is open; a breaker trip is reported once per
-            // experiment, after every job span has closed.
-            "remote_hit" | "remote_miss" | "remote_push" => {
-                let exp = str_field(&j, line, "experiment")?;
-                if experiment.as_deref() != Some(exp.as_str()) {
-                    return Err(format!(
-                        "line {line}: {name} for experiment {exp:?} outside its span"
-                    ));
-                }
-                let id = (
-                    str_field(&j, line, "workload")?,
-                    str_field(&j, line, "scheme")?,
-                );
-                if !open_jobs.contains(&id) {
-                    return Err(format!(
-                        "line {line}: {name} without an open job for {}/{}",
-                        id.0, id.1
-                    ));
-                }
-                str_field(&j, line, "fingerprint")?;
-                summary.remote += 1;
-            }
-            "remote_degraded" => {
-                let exp = str_field(&j, line, "experiment")?;
-                if experiment.as_deref() != Some(exp.as_str()) {
-                    return Err(format!(
-                        "line {line}: remote_degraded for experiment {exp:?} outside its span"
-                    ));
-                }
-                if let Some((w, s)) = open_jobs.iter().next() {
-                    return Err(format!(
-                        "line {line}: remote_degraded with job {w}/{s} still open"
-                    ));
-                }
-                str_field(&j, line, "addr")?;
-                summary.degraded += 1;
             }
             "job_fail" => {
                 let exp = str_field(&j, line, "experiment")?;
@@ -471,97 +422,18 @@ mod tests {
     }
 
     #[test]
-    fn validates_remote_spans() {
-        let mut remote = job_fields("fig6", "mcf", "GhostMinion");
-        remote.push(("fingerprint", Json::from("abc")));
-        let mut end = job_fields("fig6", "mcf", "GhostMinion");
-        end.extend([
-            ("fingerprint", Json::from("abc")),
-            ("cached", Json::from(false)),
-            ("wall_us", Json::from(12u64)),
-        ]);
-        let stream = [
-            line(
-                "run_start",
-                &[
-                    ("program", Json::from("gm-run")),
-                    ("scale", Json::from("test")),
-                ],
-            ),
-            line("experiment_start", &[("experiment", Json::from("fig6"))]),
-            line("job_start", &job_fields("fig6", "mcf", "GhostMinion")),
-            line("remote_miss", &remote.clone()),
-            line("remote_push", &remote.clone()),
-            line("job_end", &end),
-            line(
-                "remote_degraded",
-                &[
-                    ("experiment", Json::from("fig6")),
-                    ("addr", Json::from("127.0.0.1:4460")),
-                ],
-            ),
-            line(
-                "experiment_end",
-                &[
-                    ("experiment", Json::from("fig6")),
-                    ("jobs", Json::from(1u64)),
-                    ("hits", Json::from(0u64)),
-                    ("misses", Json::from(1u64)),
-                    ("sim_wall_us", Json::from(12u64)),
-                ],
-            ),
-            line("run_end", &[("experiments", Json::from(1u64))]),
-        ]
-        .join("\n");
-        let s = validate(&stream).expect("remote stream validates");
-        assert_eq!(s.remote, 2);
-        assert_eq!(s.degraded, 1);
-
-        // A remote outcome outside an open job span is rejected.
-        let orphan = [
-            line(
-                "run_start",
-                &[
-                    ("program", Json::from("gm-run")),
-                    ("scale", Json::from("test")),
-                ],
-            ),
-            line("experiment_start", &[("experiment", Json::from("fig6"))]),
-            line("remote_hit", &remote),
-        ]
-        .join("\n");
-        let e = validate(&orphan).unwrap_err();
-        assert!(e.contains("without an open job"), "{e}");
-
-        // remote_degraded while a job span is still open is rejected.
-        let early = [
-            line(
-                "run_start",
-                &[
-                    ("program", Json::from("gm-run")),
-                    ("scale", Json::from("test")),
-                ],
-            ),
-            line("experiment_start", &[("experiment", Json::from("fig6"))]),
-            line("job_start", &job_fields("fig6", "mcf", "GhostMinion")),
-            line(
-                "remote_degraded",
-                &[
-                    ("experiment", Json::from("fig6")),
-                    ("addr", Json::from("127.0.0.1:4460")),
-                ],
-            ),
-        ]
-        .join("\n");
-        let e = validate(&early).unwrap_err();
-        assert!(e.contains("still open"), "{e}");
-    }
-
-    #[test]
     fn rejects_unbalanced_and_malformed_streams() {
         assert!(validate("").is_err());
         assert!(validate("not json").is_err());
         assert!(validate("{\"event\":\"mystery\"}").is_err());
+        // Retired event kinds are unknown too, even inside an open job
+        // span where they used to be accepted.
+        let mut retired: Vec<String> = well_formed().lines().map(str::to_owned).collect();
+        let mut hit = job_fields("fig6", "mcf", "GhostMinion");
+        hit.push(("fingerprint", Json::from("abc")));
+        retired.insert(3, line("remote_hit", &hit));
+        let e = validate(&retired.join("\n")).unwrap_err();
+        assert!(e.contains("unknown event"), "{e}");
         // A job left open past its experiment.
         let open_job = [
             line(

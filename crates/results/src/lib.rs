@@ -24,14 +24,6 @@
 //!   runner consults before simulating and appends to after.
 //! * [`faults`] — deterministic I/O fault injection behind the store's
 //!   [`store::StoreIo`] seam, for crash and corruption tests.
-//! * [`protocol`] — the result service's wire format: length-prefixed
-//!   canonical-JSON `Get`/`Put`/`Health`/`Stats` frames.
-//! * [`net`] — the [`net::NetIo`] seam the remote tier talks through
-//!   ([`net::TcpIo`] in production), plus deterministic network fault
-//!   injection ([`net::FaultyNet`]) mirroring [`faults`].
-//! * [`remote`] — the resilient client of a `gm-serve` daemon:
-//!   bounded seeded retries, a trip-once circuit breaker, and
-//!   client-side quarantine of garbled responses.
 //! * [`hash`] — the dependency-free SHA-256 underneath it all.
 //!
 //! The `gm-bench` crate layers the user-visible behaviour on top:
@@ -42,21 +34,15 @@
 pub mod faults;
 pub mod fingerprint;
 pub mod hash;
-pub mod net;
-pub mod protocol;
 pub mod record;
-pub mod remote;
 pub mod store;
 
 pub use faults::{FaultControl, FaultyIo};
 pub use fingerprint::{job_descriptor, job_fingerprint, program_sha, FORMAT_VERSION};
 pub use hash::{sha256_hex, Sha256};
-pub use net::{FaultyNet, NetFaultControl, NetIo, NetTimeouts, TcpIo};
-pub use protocol::{read_frame, write_frame, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 pub use record::{
     job_record, record_fingerprint, record_wall_us, result_from_record, validate_record,
 };
-pub use remote::{RemoteCounters, RemoteStore, RetryPolicy};
 pub use store::{
     parse_store_line, CompactStats, GcStats, LoadedShard, QuarantineStats, RealIo, ResultStore,
     StoreIo, StoreLine,
