@@ -1,5 +1,6 @@
-//! Argument parsing and `main` bodies for the figure binaries and the
-//! `gm-run` driver.
+//! Argument parsing and the `main` body of the `gm-run` driver: a
+//! sweep over the registry (or the `--filter`ed part of it) plus the
+//! `merge`, `store` and `trace` subcommands.
 //!
 //! Parsing is strict: unknown flags, unknown workload names, and
 //! malformed values print usage and exit non-zero instead of being
@@ -36,8 +37,7 @@ pub mod exit {
     pub const PARTIAL: i32 = 3;
 }
 
-/// Parsed command-line options, shared by `gm-run` and the per-figure
-/// binaries (which do not take `--list`/`--filter`/`--shard`).
+/// Parsed `gm-run` sweep options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     pub scale: Scale,
@@ -51,7 +51,7 @@ pub struct Options {
     pub store: Option<String>,
     /// With `store`: exit non-zero if any job was simulated (cache miss).
     pub expect_cached: bool,
-    /// Run only this partition of the job list (gm-run only).
+    /// Run only this partition of the job list.
     pub shard: Option<Shard>,
     /// Append JSON-lines span telemetry to this path (see
     /// [`crate::telemetry`]).
@@ -71,7 +71,7 @@ pub struct Options {
     pub store_sync: bool,
     /// List registered experiments instead of running.
     pub list: bool,
-    /// Substring filter selecting experiments to run (gm-run only).
+    /// Substring filter selecting experiments to run.
     pub filter: Option<String>,
     pub help: bool,
 }
@@ -99,21 +99,14 @@ impl Default for Options {
     }
 }
 
-/// Usage text. `selection` adds the `gm-run`-only flags.
-pub fn usage(program: &str, selection: bool) -> String {
-    let mut u = format!("usage: {program} [options]\n");
-    if selection {
-        u.push_str(
-            "       gm-run merge <SHARD.json>... [--json <PATH>] [--jobs <N>]\n\
-             \x20      gm-run bench [--scale <S>] [--jobs <N>] [--filter <SUBSTR>] [--json <PATH>]\n\
-             \x20                   [--check <BASELINE.json>]\n\
-             \x20      gm-run store <DIR> [--compact] [--gc] [--verify] [--purge-quarantine]\n\
-             \x20      gm-run trace <EXPERIMENT> [--workload <NAME>] [--scheme <LABEL>]\n\
-             \x20                   [--scale <S>] [--out <FILE>] [--summary]\n",
-        );
-    }
-    u.push_str(
-        "\n\
+/// Usage text.
+pub fn usage() -> String {
+    "usage: gm-run [options]\n\
+         \x20      gm-run merge <SHARD.json>... [--json <PATH>] [--jobs <N>]\n\
+         \x20      gm-run store <DIR> [--compact] [--gc] [--verify] [--purge-quarantine]\n\
+         \x20      gm-run trace <EXPERIMENT> [--workload <NAME>] [--scheme <LABEL>]\n\
+         \x20                   [--scale <S>] [--out <FILE>] [--summary]\n\
+         \n\
          options:\n\
          \x20 --scale <test|bench|full>  workload scale (default: test)\n\
          \x20 --full                     alias for --scale full\n\
@@ -132,32 +125,25 @@ pub fn usage(program: &str, selection: bool) -> String {
          \x20                            annotate the report, exit 3)\n\
          \x20 --inject <SPEC>            deterministic fault injection, e.g.\n\
          \x20                            panic:mcf/GhostMinion@1 (tests and CI smokes)\n\
-         \x20 --help                     show this help\n",
-    );
-    if selection {
-        u.push_str(
-            "\x20 --list                     list registered experiments and exit\n\
-             \x20 --filter <SUBSTR>          run only experiments whose name contains SUBSTR\n\
-             \x20 --shard <K/N>              run the Kth of N job partitions (requires --json;\n\
-             \x20                            recombine with gm-run merge)\n",
-        );
-    }
-    u.push_str(
-        "\n\
+         \x20 --list                     list registered experiments and exit\n\
+         \x20 --filter <SUBSTR>          run only experiments whose name contains SUBSTR\n\
+         \x20                            (each experiment's full name selects just it)\n\
+         \x20 --shard <K/N>              run the Kth of N job partitions (requires --json;\n\
+         \x20                            recombine with gm-run merge)\n\
+         \x20 --help                     show this help\n\
+         \n\
          exit codes:\n\
          \x20 0  success\n\
          \x20 1  hard failure (unreadable input, I/O error, failed check)\n\
          \x20 2  usage error\n\
-         \x20 3  partial success (sweep completed, some jobs failed supervision)\n",
-    );
-    u
+         \x20 3  partial success (sweep completed, some jobs failed supervision)\n"
+        .to_owned()
 }
 
-/// Parses `args` (without the program name). `selection` enables
-/// `--list`/`--filter`/`--shard`. Returns a human-readable error for
-/// unknown flags, missing values, malformed values, and inconsistent
-/// combinations.
-pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
+/// Parses `args` (without the program name). Returns a human-readable
+/// error for unknown flags, missing values, malformed values, and
+/// inconsistent combinations.
+pub fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
     let value = |flag: &str, it: &mut std::slice::Iter<String>| {
@@ -210,11 +196,11 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
             }
             "--strict" => opts.strict = true,
             "--inject" => opts.inject = Some(FaultPlan::parse(&value("--inject", &mut it)?)?),
-            "--shard" if selection => {
+            "--shard" => {
                 opts.shard = Some(Shard::parse(&value("--shard", &mut it)?)?);
             }
-            "--list" if selection => opts.list = true,
-            "--filter" if selection => opts.filter = Some(value("--filter", &mut it)?),
+            "--list" => opts.list = true,
+            "--filter" => opts.filter = Some(value("--filter", &mut it)?),
             "--help" | "-h" => opts.help = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -228,9 +214,8 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
     if opts.shard.is_some() && opts.json.is_none() && !opts.list && !opts.help {
         return Err("--shard requires --json (the shard document is the run's output)".into());
     }
-    // Mirrors the bench `--check`/`--json` collision guard: the
-    // telemetry stream appending over the results document would corrupt
-    // both outputs.
+    // The telemetry stream appending over the results document would
+    // corrupt both outputs.
     if opts.telemetry.is_some() && opts.telemetry == opts.json {
         return Err(format!(
             "--telemetry and --json name the same file ({}); the telemetry \
@@ -241,17 +226,17 @@ pub fn parse(args: &[String], selection: bool) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn parse_or_exit(program: &str, args: &[String], selection: bool) -> Options {
-    match parse(args, selection) {
+fn parse_or_exit(program: &str, args: &[String]) -> Options {
+    match parse(args) {
         Ok(opts) => {
             if opts.help {
-                print!("{}", usage(program, selection));
+                print!("{}", usage());
                 std::process::exit(exit::OK);
             }
             opts
         }
         Err(e) => {
-            eprint!("{program}: {e}\n\n{}", usage(program, selection));
+            eprint!("{program}: {e}\n\n{}", usage());
             std::process::exit(exit::USAGE);
         }
     }
@@ -311,8 +296,6 @@ fn write_json(program: &str, opts_json: Option<&String>, doc: &Json) {
     }
 }
 
-/// Compacts the store files this run touched, reporting anything that
-/// was actually rewritten.
 /// Compacts one experiment's store file, reporting to stderr only when
 /// something was actually dropped. Shared by post-run compaction and
 /// `gm-run store --compact` so the report/warning policy cannot drift.
@@ -327,6 +310,8 @@ fn compact_one(program: &str, store: &ResultStore, experiment: &str) {
     }
 }
 
+/// Compacts the store files this run touched, reporting anything that
+/// was actually rewritten.
 fn compact_store(program: &str, store: &ResultStore, experiments: &[Experiment]) {
     for exp in experiments {
         if matches!(exp.kind, ExperimentKind::Sweep(_)) {
@@ -361,7 +346,7 @@ fn seconds(us: u64) -> f64 {
 }
 
 /// Simulated megacycles per wall-clock second — the engine-throughput
-/// telemetry every sweep reports and `gm-run bench` snapshots.
+/// telemetry every sweep reports.
 fn mcycles_per_s(sim_cycles: u64, sim_wall_us: u64) -> f64 {
     if sim_wall_us == 0 {
         0.0
@@ -406,8 +391,45 @@ fn close_telemetry(
     );
 }
 
+/// Prints the per-stage run/skip/wall-time counters accumulated during
+/// one sweep experiment to stderr (stdout stays byte-comparable).
+#[cfg(feature = "stage-prof")]
+fn stage_profile_report(program: &str, exp_name: &str) {
+    let mut table = gm_stats::Table::new(vec![
+        "stage".into(),
+        "runs".into(),
+        "skips".into(),
+        "skip%".into(),
+        "wall_ms".into(),
+    ]);
+    let (mut runs, mut skips) = (0u64, 0u64);
+    for c in &gm_sim::prof::snapshot() {
+        let gated = c.runs + c.skips;
+        let skip_pct = if gated > 0 {
+            c.skips as f64 / gated as f64 * 100.0
+        } else {
+            0.0
+        };
+        table.row(vec![
+            c.stage.name().to_owned(),
+            c.runs.to_string(),
+            c.skips.to_string(),
+            format!("{skip_pct:.1}"),
+            format!("{:.2}", c.nanos as f64 / 1e6),
+        ]);
+        runs += c.runs;
+        skips += c.skips;
+    }
+    eprintln!("{program}: stage profile for {exp_name}:");
+    eprint!("{}", table.render());
+    // One greppable summary line per experiment (the CI smoke step
+    // asserts the gating fires, i.e. skips > 0).
+    eprintln!("{program}: stage profile {exp_name}: {runs} runs, {skips} skips");
+}
+
 /// Runs `experiments` unsharded, printing each report and writing the
-/// combined JSON if requested.
+/// combined JSON if requested. In a `stage-prof` build, each sweep
+/// experiment is followed by its per-stage profile on stderr.
 fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
     let store = open_store(program, opts);
     let telemetry = open_telemetry(program, opts, None);
@@ -417,6 +439,8 @@ fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
     let mut corrupt = 0usize;
     let mut failed = 0usize;
     for exp in experiments {
+        #[cfg(feature = "stage-prof")]
+        gm_sim::prof::reset();
         let out = run_experiment(&runner, exp, opts.scale, store.as_ref(), telemetry.as_ref())
             .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
         print!("{}", report_text(exp.title, &out));
@@ -442,6 +466,8 @@ fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
                 line.push_str(&format!(", {} FAILED", out.failures.len()));
             }
             eprintln!("{line}");
+            #[cfg(feature = "stage-prof")]
+            stage_profile_report(program, exp.name);
         }
         misses += out.cache.misses;
         corrupt += out.cache.corrupt;
@@ -555,10 +581,10 @@ fn run_shard_and_emit(program: &str, experiments: &[Experiment], opts: &Options,
 
 /// Applies `--workloads`, then dispatches to the unsharded or sharded
 /// run path.
-fn run_selected(program: &str, mut experiments: Vec<Experiment>, opts: &Options, selection: bool) {
+fn run_selected(program: &str, mut experiments: Vec<Experiment>, opts: &Options) {
     if let Some(names) = &opts.workloads {
         if let Err(e) = apply_workload_filter(&mut experiments, names) {
-            eprint!("{program}: {e}\n\n{}", usage(program, selection));
+            eprint!("{program}: {e}\n\n{}", usage());
             std::process::exit(exit::USAGE);
         }
         // A name can be valid for one suite and absent from another
@@ -586,16 +612,6 @@ fn run_selected(program: &str, mut experiments: Vec<Experiment>, opts: &Options,
     }
 }
 
-/// `main` body of a single-figure binary: strict flag parsing, then the
-/// named registry experiment.
-pub fn figure_main(name: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_or_exit(name, &args, false);
-    let exp =
-        experiment::find(name).unwrap_or_else(|| panic!("{name} is not a registered experiment"));
-    run_selected(name, vec![exp], &opts, false);
-}
-
 /// `main` body of the `gm-run` driver: the `merge` subcommand, `--list`,
 /// `--filter`, or the whole registry.
 pub fn gm_run_main() {
@@ -603,10 +619,6 @@ pub fn gm_run_main() {
     match args.first().map(String::as_str) {
         Some("merge") => {
             merge_main(&args[1..]);
-            return;
-        }
-        Some("bench") => {
-            bench_main(&args[1..]);
             return;
         }
         Some("store") => {
@@ -621,15 +633,12 @@ pub fn gm_run_main() {
         // (`gm-run benhc`): usage to stderr and exit 2, consistent with
         // the strict flag parsing below.
         Some(cmd) if !cmd.starts_with('-') => {
-            eprint!(
-                "gm-run: unknown subcommand {cmd:?}\n\n{}",
-                usage("gm-run", true)
-            );
+            eprint!("gm-run: unknown subcommand {cmd:?}\n\n{}", usage());
             std::process::exit(exit::USAGE);
         }
         _ => {}
     }
-    let opts = parse_or_exit("gm-run", &args, true);
+    let opts = parse_or_exit("gm-run", &args);
     let selected = match &opts.filter {
         Some(pattern) => experiment::matching(pattern),
         None => experiment::registry(),
@@ -651,7 +660,7 @@ pub fn gm_run_main() {
         );
         std::process::exit(exit::FAILURE);
     }
-    run_selected("gm-run", selected, &opts, true);
+    run_selected("gm-run", selected, &opts);
 }
 
 fn trace_usage() -> String {
@@ -864,486 +873,6 @@ fn trace_main(args: &[String]) {
     }
     if let Some(sum) = &sum {
         print!("{}", sum.borrow().render(result.cycles));
-    }
-}
-
-fn bench_usage() -> String {
-    "usage: gm-run bench [--scale <test|bench|full>] [--jobs <N>] \
-     [--filter <SUBSTR>] [--workloads <a,b,...>] [--json <PATH>] \
-     [--check <BASELINE.json>] [--profile]\n\
-     \n\
-     Runs every selected sweep experiment cold (no result store), measures\n\
-     total simulation wall-clock and simulated-cycles-per-second engine\n\
-     throughput, and writes the snapshot to --json (default:\n\
-     BENCH_engine.json). Re-run after engine changes to extend the repo's\n\
-     perf trajectory; see README \"Performance\". The snapshot records the\n\
-     rustc version and host triple that produced it.\n\
-     \n\
-     --check compares the fresh run against a committed baseline snapshot\n\
-     and exits non-zero if any experiment's (or the total) mcycles_per_s\n\
-     dropped by more than 25% — the CI perf-regression gate. With --check\n\
-     the snapshot defaults to BENCH_fresh.json (never the baseline path,\n\
-     which --json may not name either). Compare runs from the same runner\n\
-     class; absolute throughput is machine-specific, and a rustc/host\n\
-     mismatch against the baseline is reported as a warning.\n\
-     \n\
-     --profile (needs a build with --features stage-prof) prints a\n\
-     per-stage run/skip/wall-time table to stderr after each experiment\n\
-     and embeds it in the snapshot as stage_profile. Profiling builds\n\
-     pay for the counters — never record a baseline from one.\n"
-        .to_owned()
-}
-
-/// Maximum tolerated fractional `mcycles_per_s` drop per experiment
-/// before `gm-run bench --check` fails.
-const BENCH_REGRESSION_FRACTION: f64 = 0.25;
-
-/// Working-set words of the calibration kernel (8 MiB — larger than any
-/// LLC slice CI runners have, so DRAM speed is part of the score, as it
-/// is for the simulator's own footprints).
-const CALIB_WORDS: usize = 1 << 20;
-/// Passes over the working set per probe (~100 ms on a laptop-class core).
-const CALIB_PASSES: usize = 24;
-
-/// One run of the fixed host-speed probe: a data-dependent
-/// multiply-mix walk over an 8 MiB buffer. The mix of cache-missing
-/// loads, dependent arithmetic, and unpredictable addresses tracks the
-/// same machine resources the simulator is bound by, so frequency
-/// scaling, thermal throttling, and runner-class differences move this
-/// score and the engine's Mcycles/s together. The kernel is **frozen**:
-/// it must never share code with (or be tuned alongside) the simulator,
-/// or engine regressions would divide themselves out of the
-/// [normalised check](bench_check).
-///
-/// Returns the score in Mops (walk steps per microsecond).
-fn calibration_probe() -> f64 {
-    use std::hint::black_box;
-    let mut buf: Vec<u64> = (0..CALIB_WORDS as u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let mask = (CALIB_WORDS - 1) as u64;
-    let mut idx = 0u64;
-    let mut acc = 0u64;
-    let start = std::time::Instant::now();
-    for pass in 0..CALIB_PASSES as u64 {
-        for i in 0..CALIB_WORDS as u64 {
-            let v = buf[(idx & mask) as usize];
-            acc = acc
-                .wrapping_add(v ^ i)
-                .rotate_left(7)
-                .wrapping_mul(0x2545_f491_4f6c_dd1d);
-            // The next address depends on the loaded value: the walk is
-            // unprefetchable, like a simulator chasing queue entries.
-            idx = v.wrapping_add(acc).wrapping_add(pass);
-            buf[(i & mask) as usize] = acc;
-        }
-    }
-    let us = start.elapsed().as_micros().max(1) as f64;
-    black_box(acc);
-    black_box(&buf);
-    (CALIB_WORDS * CALIB_PASSES) as f64 / us
-}
-
-/// The calibration score attached to a bench snapshot: the mean of one
-/// probe before and one after the sweep, so a machine that throttles
-/// *during* the minutes-long run is scored at roughly the speed the
-/// sweep actually saw.
-fn calibration_entry(before_mops: f64, after_mops: f64) -> Json {
-    let mut j = Json::object();
-    j.set("kernel", "mixwalk-8MiB-v1")
-        .set("before_mops", format!("{before_mops:.2}"))
-        .set("after_mops", format!("{after_mops:.2}"))
-        .set("mops", format!("{:.2}", (before_mops + after_mops) / 2.0));
-    j
-}
-
-/// A snapshot's calibration score in Mops, if it carries one (snapshots
-/// from before the calibration loop existed do not).
-fn bench_calibration(doc: &Json) -> Option<f64> {
-    doc.get("calibration")?
-        .get("mops")
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|m| *m > 0.0)
-}
-
-/// Outcome of comparing a fresh bench snapshot against a baseline.
-struct BenchCheck {
-    /// One human-readable comparison line per checked experiment.
-    report: Vec<String>,
-    /// The subset that regressed beyond the threshold.
-    regressions: Vec<String>,
-}
-
-/// Extracts `(name, mcycles_per_s)` rows — every experiment entry plus
-/// the `total` — from a `gm-run bench` snapshot document.
-fn bench_rates(doc: &Json, label: &str) -> Result<Vec<(String, f64)>, String> {
-    let rate = |name: &str, e: &Json| -> Result<(String, f64), String> {
-        let r = e
-            .get("mcycles_per_s")
-            .and_then(Json::as_str)
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("{label}: {name} has no numeric mcycles_per_s"))?;
-        Ok((name.to_owned(), r))
-    };
-    let mut rows = Vec::new();
-    for e in doc
-        .get("experiments")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{label}: no experiments array (not a bench snapshot?)"))?
-    {
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{label}: experiment entry without a name"))?;
-        rows.push(rate(name, e)?);
-    }
-    let total = doc
-        .get("total")
-        .ok_or_else(|| format!("{label}: no total entry"))?;
-    rows.push(rate("total", total)?);
-    Ok(rows)
-}
-
-/// Compares a fresh snapshot against a committed baseline: every
-/// baseline experiment also present in the fresh run (a `--filter`ed
-/// check legitimately covers a subset) must hold at least
-/// `1 - BENCH_REGRESSION_FRACTION` of its baseline throughput.
-///
-/// When both snapshots carry a [calibration score](calibration_probe),
-/// throughputs are compared *normalised* (Mcycles per calibration Mop
-/// rather than per wall-second): a slower CI runner class, a thermally
-/// throttled machine, or a shared-tenancy neighbour slows the fresh
-/// run's sweep and its probes alike, so the ratio cancels the machine
-/// and keeps only the engine. Engine changes cannot hide there — the
-/// probe is frozen and independent of simulator code. Old baselines
-/// without a score fall back to the raw comparison.
-fn bench_check(fresh: &Json, baseline: &Json) -> Result<BenchCheck, String> {
-    let fresh_rates = bench_rates(fresh, "fresh run")?;
-    let base_rates = bench_rates(baseline, "baseline")?;
-    // normalised_ratio = (now/fresh_mops) / (base/base_mops)
-    //                  = (now/base) * machine_factor
-    let machine_factor = match (bench_calibration(fresh), bench_calibration(baseline)) {
-        (Some(f), Some(b)) => Some(b / f),
-        _ => None,
-    };
-    let mut report = Vec::new();
-    let mut regressions = Vec::new();
-    let mut matched = 0usize;
-    // Provenance check: throughput snapshots are only directly
-    // comparable when compiler and machine match. Calibration absorbs
-    // *speed* differences, not codegen differences, so mismatches warn
-    // (they don't fail — CI runners legitimately roll toolchains).
-    for key in ["rustc", "host"] {
-        let f = fresh.get(key).and_then(Json::as_str);
-        let b = baseline.get(key).and_then(Json::as_str);
-        if let (Some(f), Some(b)) = (f, b) {
-            if f != b {
-                report.push(format!(
-                    "warning: {key} differs (baseline {b:?}, fresh {f:?}); \
-                     the comparison crosses toolchains/machines and is only \
-                     indicative"
-                ));
-            }
-        }
-    }
-    if let Some(mf) = machine_factor {
-        report.push(format!(
-            "calibration: baseline/fresh machine speed {mf:.2}x \
-             (throughput ratios are calibration-normalised)"
-        ));
-    }
-    // A filtered run's total only covers the selected experiments and is
-    // not comparable to the full baseline total.
-    let all_present = base_rates
-        .iter()
-        .filter(|(n, _)| n != "total")
-        .all(|(n, _)| fresh_rates.iter().any(|(f, _)| f == n));
-    for (name, base) in &base_rates {
-        if name == "total" && !all_present {
-            continue;
-        }
-        let Some((_, now)) = fresh_rates.iter().find(|(n, _)| n == name) else {
-            continue; // not selected in this run
-        };
-        let ratio = if *base > 0.0 {
-            now / base * machine_factor.unwrap_or(1.0)
-        } else {
-            f64::INFINITY
-        };
-        let norm = if machine_factor.is_some() {
-            " normalised"
-        } else {
-            ""
-        };
-        let mut line = format!("{name}: {base:.1} -> {now:.1} Mcycles/s ({ratio:.2}x{norm})");
-        if ratio < 1.0 - BENCH_REGRESSION_FRACTION {
-            line.push_str(" REGRESSION");
-            regressions.push(line.clone());
-        }
-        report.push(line);
-        matched += 1;
-    }
-    if matched == 0 {
-        return Err("no baseline experiment matches the fresh run".into());
-    }
-    Ok(BenchCheck {
-        report,
-        regressions,
-    })
-}
-
-/// Renders the per-stage run/skip/wall-time counters accumulated during
-/// one experiment: a table on stderr (stdout stays byte-comparable) and
-/// a `stage_profile` array on the experiment's snapshot entry.
-#[cfg(feature = "stage-prof")]
-fn stage_profile_report(program: &str, exp_name: &str, entry: &mut Json) {
-    let snap = gm_sim::prof::snapshot();
-    let mut table = gm_stats::Table::new(vec![
-        "stage".into(),
-        "runs".into(),
-        "skips".into(),
-        "skip%".into(),
-        "wall_ms".into(),
-    ]);
-    let mut rows = Vec::new();
-    let (mut runs, mut skips) = (0u64, 0u64);
-    for c in &snap {
-        let gated = c.runs + c.skips;
-        let skip_pct = if gated > 0 {
-            c.skips as f64 / gated as f64 * 100.0
-        } else {
-            0.0
-        };
-        table.row(vec![
-            c.stage.name().to_owned(),
-            c.runs.to_string(),
-            c.skips.to_string(),
-            format!("{skip_pct:.1}"),
-            format!("{:.2}", c.nanos as f64 / 1e6),
-        ]);
-        let mut j = Json::object();
-        j.set("stage", c.stage.name())
-            .set("runs", c.runs)
-            .set("skips", c.skips)
-            .set("wall_ns", c.nanos);
-        rows.push(j);
-        runs += c.runs;
-        skips += c.skips;
-    }
-    eprintln!("{program}: stage profile for {exp_name}:");
-    eprint!("{}", table.render());
-    // One greppable summary line per experiment (the CI smoke step
-    // asserts the gating fires, i.e. skips > 0).
-    eprintln!("{program}: stage profile {exp_name}: {runs} runs, {skips} skips");
-    entry.set("stage_profile", Json::Array(rows));
-}
-
-/// `gm-run bench`: cold perf snapshot of the simulation engine, with an
-/// optional `--check` regression gate against a committed baseline.
-fn bench_main(args: &[String]) {
-    let program = "gm-run bench";
-    // `--check` and `--profile` are bench-only; strip them before the
-    // shared parser.
-    let mut check: Option<String> = None;
-    let mut profile = false;
-    let mut rest: Vec<String> = Vec::new();
-    let mut args_it = args.iter();
-    while let Some(arg) = args_it.next() {
-        if arg == "--check" {
-            match args_it.next() {
-                Some(v) => check = Some(v.clone()),
-                None => {
-                    eprint!("{program}: --check requires a value\n\n{}", bench_usage());
-                    std::process::exit(exit::USAGE);
-                }
-            }
-        } else if arg == "--profile" {
-            profile = true;
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    if profile && !cfg!(feature = "stage-prof") {
-        eprint!(
-            "{program}: --profile needs the profiling build; rebuild with \
-             --features stage-prof\n\n{}",
-            bench_usage()
-        );
-        std::process::exit(exit::USAGE);
-    }
-    let args = rest.as_slice();
-    let opts = match parse(args, true) {
-        Ok(opts) => {
-            if opts.help {
-                print!("{}", bench_usage());
-                std::process::exit(exit::OK);
-            }
-            if opts.store.is_some() || opts.shard.is_some() || opts.list {
-                eprint!(
-                    "{program}: bench always runs cold and unsharded\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            if opts.telemetry.is_some() {
-                eprint!(
-                    "{program}: --telemetry would perturb the timing snapshot; \
-                     use a plain sweep run instead\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            if opts.inject.is_some() {
-                eprint!(
-                    "{program}: --inject would poison the timing snapshot; \
-                     use a plain sweep run to exercise fault injection\n\n{}",
-                    bench_usage()
-                );
-                std::process::exit(exit::USAGE);
-            }
-            opts
-        }
-        Err(e) => {
-            eprint!("{program}: {e}\n\n{}", bench_usage());
-            std::process::exit(exit::USAGE);
-        }
-    };
-    // With --check, the snapshot defaults to BENCH_fresh.json so the
-    // default output can never be the baseline under comparison; an
-    // explicit collision is rejected — otherwise a regressed run would
-    // overwrite the baseline before failing, and the re-run would pass.
-    let snapshot_path = opts.json.clone().unwrap_or_else(|| {
-        if check.is_some() {
-            "BENCH_fresh.json".to_owned()
-        } else {
-            "BENCH_engine.json".to_owned()
-        }
-    });
-    if check.as_deref() == Some(snapshot_path.as_str()) {
-        eprint!(
-            "{program}: --json and --check name the same file ({snapshot_path}); \
-             writing the fresh snapshot there would clobber the baseline \
-             before it is checked\n\n{}",
-            bench_usage()
-        );
-        std::process::exit(exit::USAGE);
-    }
-    // Read the baseline before the (minutes-long) bench run, so a bad
-    // path fails fast.
-    let baseline = check.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(program, &format!("cannot read baseline {path:?}: {e}")));
-        Json::parse(&text)
-            .unwrap_or_else(|e| fail(program, &format!("cannot parse baseline {path:?}: {e}")))
-    });
-    let mut selected: Vec<Experiment> = match &opts.filter {
-        Some(pattern) => experiment::matching(pattern),
-        None => experiment::registry(),
-    }
-    .into_iter()
-    .filter(|e| matches!(e.kind, ExperimentKind::Sweep(_)))
-    .collect();
-    if selected.is_empty() {
-        fail(program, "no sweep experiment selected (try --filter fig6)");
-    }
-    if let Some(names) = &opts.workloads {
-        if let Err(e) = apply_workload_filter(&mut selected, names) {
-            eprint!("{program}: {e}\n\n{}", bench_usage());
-            std::process::exit(exit::USAGE);
-        }
-    }
-    let runner = Runner::new(opts.jobs);
-    let calib_before = calibration_probe();
-    eprintln!("{program}: calibration {calib_before:.2} Mops");
-    let mut table = gm_stats::Table::new(vec![
-        "experiment".into(),
-        "jobs".into(),
-        "sim_wall_s".into(),
-        "Mcycles/s".into(),
-    ]);
-    let mut entries = Vec::new();
-    let (mut total_jobs, mut total_cycles, mut total_wall) = (0u64, 0u64, 0u64);
-    for exp in &selected {
-        #[cfg(feature = "stage-prof")]
-        if profile {
-            gm_sim::prof::reset();
-        }
-        let out = run_experiment(&runner, exp, opts.scale, None, None)
-            .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
-        let jobs = (out.cache.hits + out.cache.misses) as u64;
-        total_jobs += jobs;
-        total_cycles += out.sim_cycles;
-        total_wall += out.sim_wall_us;
-        table.row(vec![
-            exp.name.to_owned(),
-            jobs.to_string(),
-            format!("{:.2}", seconds(out.sim_wall_us)),
-            format!("{:.1}", mcycles_per_s(out.sim_cycles, out.sim_wall_us)),
-        ]);
-        let mut j = Json::object();
-        j.set("name", exp.name)
-            .set("jobs", jobs)
-            .set("sim_cycles", out.sim_cycles)
-            .set("sim_wall_us", out.sim_wall_us)
-            .set(
-                "mcycles_per_s",
-                format!("{:.1}", mcycles_per_s(out.sim_cycles, out.sim_wall_us)),
-            );
-        #[cfg(feature = "stage-prof")]
-        if profile {
-            stage_profile_report(program, exp.name, &mut j);
-        }
-        entries.push(j);
-    }
-    table.row(vec![
-        "total".into(),
-        total_jobs.to_string(),
-        format!("{:.2}", seconds(total_wall)),
-        format!("{:.1}", mcycles_per_s(total_cycles, total_wall)),
-    ]);
-    print!("{}", table.render());
-    let mut doc = Json::object();
-    let mut total = Json::object();
-    total
-        .set("jobs", total_jobs)
-        .set("sim_cycles", total_cycles)
-        .set("sim_wall_us", total_wall)
-        .set(
-            "mcycles_per_s",
-            format!("{:.1}", mcycles_per_s(total_cycles, total_wall)),
-        );
-    let calib_after = calibration_probe();
-    eprintln!("{program}: calibration {calib_after:.2} Mops after sweep");
-    doc.set("generator", "gm-run bench")
-        .set("scale", opts.scale.name())
-        .set("jobs", runner.jobs() as u64)
-        // Toolchain/machine provenance: --check warns when a baseline
-        // from a different compiler or host is compared.
-        .set("rustc", env!("GM_RUSTC_VERSION"))
-        .set("host", env!("GM_HOST_TRIPLE"))
-        .set("calibration", calibration_entry(calib_before, calib_after))
-        .set("experiments", Json::Array(entries))
-        .set("total", total);
-    write_json(program, Some(&snapshot_path), &doc);
-    if let (Some(baseline), Some(check_path)) = (baseline, check) {
-        let outcome = bench_check(&doc, &baseline)
-            .unwrap_or_else(|e| fail(program, &format!("--check {check_path}: {e}")));
-        for line in &outcome.report {
-            eprintln!("{program}: check vs {check_path}: {line}");
-        }
-        if !outcome.regressions.is_empty() {
-            fail(
-                program,
-                &format!(
-                    "{} experiment(s) regressed more than {}% vs {check_path}:\n  {}",
-                    outcome.regressions.len(),
-                    (BENCH_REGRESSION_FRACTION * 100.0) as u32,
-                    outcome.regressions.join("\n  ")
-                ),
-            );
-        }
-        eprintln!("{program}: check vs {check_path}: OK");
     }
 }
 
@@ -1787,10 +1316,9 @@ mod tests {
 
     #[test]
     fn parses_the_standard_flags() {
-        let o = parse(
-            &args(&["--scale", "bench", "--jobs", "4", "--json", "out.json"]),
-            false,
-        )
+        let o = parse(&args(&[
+            "--scale", "bench", "--jobs", "4", "--json", "out.json",
+        ]))
         .unwrap();
         assert_eq!(o.scale, Scale::Bench);
         assert_eq!(o.jobs, 4);
@@ -1798,22 +1326,22 @@ mod tests {
         assert!(!o.list && o.filter.is_none() && !o.help);
         assert!(o.workloads.is_none() && o.store.is_none());
         assert!(!o.expect_cached && o.shard.is_none());
+        let o = parse(&args(&["--list", "--filter", "fig1"])).unwrap();
+        assert!(o.list);
+        assert_eq!(o.filter.as_deref(), Some("fig1"));
     }
 
     #[test]
     fn parses_the_store_and_shard_flags() {
-        let o = parse(
-            &args(&[
-                "--store",
-                ".gm-store",
-                "--expect-cached",
-                "--shard",
-                "2/4",
-                "--json",
-                "s.json",
-            ]),
-            true,
-        )
+        let o = parse(&args(&[
+            "--store",
+            ".gm-store",
+            "--expect-cached",
+            "--shard",
+            "2/4",
+            "--json",
+            "s.json",
+        ]))
         .unwrap();
         assert_eq!(o.store.as_deref(), Some(".gm-store"));
         assert!(o.expect_cached);
@@ -1822,22 +1350,19 @@ mod tests {
 
     #[test]
     fn parses_workload_lists() {
-        let o = parse(&args(&["--workloads", "mcf,lbm,povray"]), false).unwrap();
+        let o = parse(&args(&["--workloads", "mcf,lbm,povray"])).unwrap();
         assert_eq!(
             o.workloads.as_deref().unwrap(),
             ["mcf".to_owned(), "lbm".to_owned(), "povray".to_owned()]
         );
-        assert!(parse(&args(&["--workloads", ""]), false).is_err());
-        assert!(parse(&args(&["--workloads", "a,,b"]), false).is_err());
+        assert!(parse(&args(&["--workloads", ""])).is_err());
+        assert!(parse(&args(&["--workloads", "a,,b"])).is_err());
     }
 
     #[test]
     fn legacy_scale_aliases_still_work() {
-        assert_eq!(parse(&args(&["--full"]), false).unwrap().scale, Scale::Full);
-        assert_eq!(
-            parse(&args(&["--bench"]), false).unwrap().scale,
-            Scale::Bench
-        );
+        assert_eq!(parse(&args(&["--full"])).unwrap().scale, Scale::Full);
+        assert_eq!(parse(&args(&["--bench"])).unwrap().scale, Scale::Bench);
     }
 
     #[test]
@@ -1848,60 +1373,47 @@ mod tests {
             &["--scal", "test"][..],
             &["--store", ".gm-store", "--remote", "127.0.0.1:4460"],
         ] {
-            let e = parse(&args(input), true).unwrap_err();
+            let e = parse(&args(input)).unwrap_err();
             assert!(e.contains("unknown argument"), "{e}");
         }
         // Positional junk is rejected too.
-        assert!(parse(&args(&["fig6"]), false).is_err());
-    }
-
-    #[test]
-    fn selection_flags_only_exist_on_gm_run() {
-        assert!(parse(&args(&["--list"]), true).unwrap().list);
-        assert!(parse(&args(&["--list"]), false).is_err());
-        let o = parse(&args(&["--filter", "fig1"]), true).unwrap();
-        assert_eq!(o.filter.as_deref(), Some("fig1"));
-        assert!(parse(&args(&["--filter", "fig1"]), false).is_err());
-        assert!(parse(&args(&["--shard", "1/2", "--json", "s.json"]), false).is_err());
+        assert!(parse(&args(&["fig6"])).is_err());
     }
 
     #[test]
     fn malformed_values_are_rejected() {
-        assert!(parse(&args(&["--scale", "huge"]), false).is_err());
-        assert!(parse(&args(&["--jobs", "0"]), false).is_err());
-        assert!(parse(&args(&["--jobs", "many"]), false).is_err());
-        assert!(parse(&args(&["--jobs"]), false).is_err());
-        assert!(parse(&args(&["--json"]), false).is_err());
-        assert!(parse(&args(&["--store"]), false).is_err());
-        assert!(parse(&args(&["--shard", "0/4", "--json", "s.json"]), true).is_err());
-        assert!(parse(&args(&["--shard", "nope", "--json", "s.json"]), true).is_err());
+        assert!(parse(&args(&["--scale", "huge"])).is_err());
+        assert!(parse(&args(&["--jobs", "0"])).is_err());
+        assert!(parse(&args(&["--jobs", "many"])).is_err());
+        assert!(parse(&args(&["--jobs"])).is_err());
+        assert!(parse(&args(&["--json"])).is_err());
+        assert!(parse(&args(&["--store"])).is_err());
+        assert!(parse(&args(&["--shard", "0/4", "--json", "s.json"])).is_err());
+        assert!(parse(&args(&["--shard", "nope", "--json", "s.json"])).is_err());
     }
 
     #[test]
     fn inconsistent_combinations_are_rejected() {
-        let e = parse(&args(&["--expect-cached"]), false).unwrap_err();
+        let e = parse(&args(&["--expect-cached"])).unwrap_err();
         assert!(e.contains("--store"), "{e}");
-        let e = parse(&args(&["--shard", "1/2"]), true).unwrap_err();
+        let e = parse(&args(&["--shard", "1/2"])).unwrap_err();
         assert!(e.contains("--json"), "{e}");
         // --list and --help escape the --json requirement (nothing runs).
-        assert!(parse(&args(&["--shard", "1/2", "--list"]), true).is_ok());
-        assert!(parse(&args(&["--shard", "1/2", "--help"]), true).is_ok());
+        assert!(parse(&args(&["--shard", "1/2", "--list"])).is_ok());
+        assert!(parse(&args(&["--shard", "1/2", "--help"])).is_ok());
     }
 
     #[test]
     fn parses_the_supervision_flags() {
-        let o = parse(
-            &args(&[
-                "--retries",
-                "0",
-                "--budget",
-                "30",
-                "--strict",
-                "--inject",
-                "panic:mcf/GhostMinion@1",
-            ]),
-            false,
-        )
+        let o = parse(&args(&[
+            "--retries",
+            "0",
+            "--budget",
+            "30",
+            "--strict",
+            "--inject",
+            "panic:mcf/GhostMinion@1",
+        ]))
         .unwrap();
         assert_eq!(o.retries, Some(0));
         assert_eq!(o.budget, Some(30));
@@ -1911,11 +1423,11 @@ mod tests {
             Some(FaultPlan::none().panic_once("mcf", "GhostMinion"))
         );
         // Malformed values are rejected eagerly, before anything runs.
-        assert!(parse(&args(&["--retries", "-1"]), false).is_err());
-        assert!(parse(&args(&["--retries", "some"]), false).is_err());
-        assert!(parse(&args(&["--budget", "0"]), false).is_err());
-        assert!(parse(&args(&["--budget", "1.5"]), false).is_err());
-        let e = parse(&args(&["--inject", "explode:a/b"]), false).unwrap_err();
+        assert!(parse(&args(&["--retries", "-1"])).is_err());
+        assert!(parse(&args(&["--retries", "some"])).is_err());
+        assert!(parse(&args(&["--budget", "0"])).is_err());
+        assert!(parse(&args(&["--budget", "1.5"])).is_err());
+        let e = parse(&args(&["--inject", "explode:a/b"])).unwrap_err();
         assert!(e.contains("--inject"), "{e}");
     }
 
@@ -1927,7 +1439,7 @@ mod tests {
         assert_eq!(exit::FAILURE, 1);
         assert_eq!(exit::USAGE, 2);
         assert_eq!(exit::PARTIAL, 3);
-        let u = usage("gm-run", true);
+        let u = usage();
         assert!(u.contains("exit codes:"), "usage must print the table");
         for line in [
             "0  success",
@@ -1941,15 +1453,15 @@ mod tests {
 
     #[test]
     fn store_sync_requires_a_store() {
-        let e = parse(&args(&["--store-sync"]), false).unwrap_err();
+        let e = parse(&args(&["--store-sync"])).unwrap_err();
         assert!(e.contains("--store"), "{e}");
-        let o = parse(&args(&["--store", ".gm-store", "--store-sync"]), false).unwrap();
+        let o = parse(&args(&["--store", ".gm-store", "--store-sync"])).unwrap();
         assert!(o.store_sync);
     }
 
     #[test]
     fn expect_cached_degrades_when_the_store_was_damaged() {
-        let o = parse(&args(&["--store", ".gm-store", "--expect-cached"]), false).unwrap();
+        let o = parse(&args(&["--store", ".gm-store", "--expect-cached"])).unwrap();
         // Misses explained by quarantined damage must not abort: the
         // jobs were re-simulated, which is the graceful degradation.
         // (The abort branch calls `exit` and is covered by CI smokes.)
@@ -1959,27 +1471,19 @@ mod tests {
 
     #[test]
     fn telemetry_must_not_collide_with_the_json_output() {
-        let o = parse(&args(&["--telemetry", "events.jsonl"]), false).unwrap();
+        let o = parse(&args(&["--telemetry", "events.jsonl"])).unwrap();
         assert_eq!(o.telemetry.as_deref(), Some("events.jsonl"));
-        assert!(parse(&args(&["--telemetry"]), false).is_err());
+        assert!(parse(&args(&["--telemetry"])).is_err());
         // Same path for the span stream and the results document would
-        // corrupt both (mirrors the bench --check/--json guard).
-        let e = parse(
-            &args(&["--telemetry", "out.json", "--json", "out.json"]),
-            false,
-        )
-        .unwrap_err();
+        // corrupt both.
+        let e = parse(&args(&["--telemetry", "out.json", "--json", "out.json"])).unwrap_err();
         assert!(e.contains("same file"), "{e}");
-        assert!(parse(
-            &args(&["--telemetry", "t.jsonl", "--json", "out.json"]),
-            false
-        )
-        .is_ok());
+        assert!(parse(&args(&["--telemetry", "t.jsonl", "--json", "out.json"])).is_ok());
     }
 
     #[test]
     fn usage_mentions_every_flag() {
-        let u = usage("gm-run", true);
+        let u = usage();
         for flag in [
             "--scale",
             "--jobs",
@@ -1997,177 +1501,13 @@ mod tests {
             "--inject",
             "--store-sync",
             "merge",
-            "bench",
             "store",
             "trace",
-            "--check",
             "--gc",
             "--verify",
             "--purge-quarantine",
         ] {
             assert!(u.contains(flag), "{flag} missing from usage");
-        }
-        let fig = usage("fig6", false);
-        assert!(!fig.contains("--filter") && !fig.contains("--shard"));
-        assert!(fig.contains("--store") && fig.contains("--workloads"));
-    }
-
-    fn bench_doc(rates: &[(&str, f64)], total: f64) -> Json {
-        let mut entries = Vec::new();
-        for (name, rate) in rates {
-            let mut e = Json::object();
-            e.set("name", *name)
-                .set("jobs", 1u64)
-                .set("mcycles_per_s", format!("{rate:.1}"));
-            entries.push(e);
-        }
-        let mut t = Json::object();
-        t.set("mcycles_per_s", format!("{total:.1}"));
-        let mut doc = Json::object();
-        doc.set("experiments", Json::Array(entries)).set("total", t);
-        doc
-    }
-
-    #[test]
-    fn bench_check_passes_within_the_threshold() {
-        let baseline = bench_doc(&[("fig6", 2.0), ("fig7", 0.8)], 1.6);
-        let fresh = bench_doc(&[("fig6", 1.6), ("fig7", 3.1)], 2.1);
-        // fig6 dropped to exactly 0.80x — inside the 25% tolerance.
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        assert_eq!(out.report.len(), 3, "two experiments + total");
-    }
-
-    #[test]
-    fn bench_check_fails_past_the_threshold() {
-        let baseline = bench_doc(&[("fig6", 2.0), ("fig7", 0.8)], 1.6);
-        let fresh = bench_doc(&[("fig6", 1.4), ("fig7", 0.8)], 1.1);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        // fig6 at 0.70x and total at ~0.69x both regress.
-        assert_eq!(out.regressions.len(), 2, "{:?}", out.regressions);
-        assert!(out.regressions[0].contains("fig6"));
-        assert!(out.regressions[1].contains("total"));
-        assert!(out.regressions.iter().all(|l| l.contains("REGRESSION")));
-    }
-
-    #[test]
-    fn bench_check_ignores_total_on_filtered_runs() {
-        let baseline = bench_doc(&[("fig6", 2.0), ("fig7", 0.8)], 1.6);
-        // A `--filter fig7` check run: fig7 healthy, but the partial
-        // total (0.9) must not be compared against the full-registry 1.6.
-        let fresh = bench_doc(&[("fig7", 0.9)], 0.9);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        assert_eq!(out.report.len(), 1, "only fig7 is comparable");
-    }
-
-    #[test]
-    fn bench_check_rejects_non_snapshots() {
-        let baseline = bench_doc(&[("fig6", 2.0)], 2.0);
-        assert!(bench_check(&Json::object(), &baseline).is_err());
-        let disjoint = bench_doc(&[("fig9", 1.0)], 1.0);
-        assert!(bench_check(&disjoint, &baseline).is_err());
-    }
-
-    fn with_calibration(mut doc: Json, mops: f64) -> Json {
-        doc.set("calibration", calibration_entry(mops, mops));
-        doc
-    }
-
-    #[test]
-    fn bench_check_normalises_away_machine_speed() {
-        // Baseline from a fast runner (100 Mops); fresh run from a
-        // machine exactly half as fast, where the engine — unchanged —
-        // also measures half the raw throughput. Raw ratios (0.50x)
-        // would fail; normalised they are 1.00x.
-        let baseline = with_calibration(bench_doc(&[("fig6", 2.0), ("fig7", 0.8)], 1.6), 100.0);
-        let fresh = with_calibration(bench_doc(&[("fig6", 1.0), ("fig7", 0.4)], 0.8), 50.0);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        // One calibration header + two experiments + total.
-        assert_eq!(out.report.len(), 4);
-        assert!(out.report[0].contains("2.00x"), "{}", out.report[0]);
-        assert!(
-            out.report[1].contains("1.00x normalised"),
-            "{}",
-            out.report[1]
-        );
-    }
-
-    #[test]
-    fn bench_check_normalisation_cannot_hide_engine_regressions() {
-        // Same 2x-slower machine, but the engine itself also lost 40%:
-        // raw 0.30x, normalised 0.60x — still a regression. A machine
-        // factor can explain away the host, never the engine.
-        let baseline = with_calibration(bench_doc(&[("fig6", 2.0)], 2.0), 100.0);
-        let fresh = with_calibration(bench_doc(&[("fig6", 0.6)], 0.6), 50.0);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert_eq!(out.regressions.len(), 2, "{:?}", out.regressions);
-        assert!(out.regressions[0].contains("0.60x normalised"));
-    }
-
-    #[test]
-    fn bench_check_falls_back_to_raw_without_a_baseline_score() {
-        // Old baselines predate the calibration loop; the comparison
-        // must stay raw (and say nothing about normalisation).
-        let baseline = bench_doc(&[("fig6", 2.0)], 2.0);
-        let fresh = with_calibration(bench_doc(&[("fig6", 1.8)], 1.8), 50.0);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        assert_eq!(out.report.len(), 2, "no calibration header");
-        assert!(out.report.iter().all(|l| !l.contains("normalised")));
-    }
-
-    fn with_provenance(mut doc: Json, rustc: &str, host: &str) -> Json {
-        doc.set("rustc", rustc).set("host", host);
-        doc
-    }
-
-    #[test]
-    fn bench_check_warns_on_toolchain_or_host_mismatch() {
-        let baseline = with_provenance(
-            bench_doc(&[("fig6", 2.0)], 2.0),
-            "rustc 1.75.0",
-            "x86_64-unknown-linux-gnu",
-        );
-        let fresh = with_provenance(
-            bench_doc(&[("fig6", 1.9)], 1.9),
-            "rustc 1.80.0",
-            "aarch64-apple-darwin",
-        );
-        let out = bench_check(&fresh, &baseline).unwrap();
-        // Warnings, not regressions: a toolchain roll must not fail CI.
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        let warnings: Vec<&String> = out
-            .report
-            .iter()
-            .filter(|l| l.starts_with("warning:"))
-            .collect();
-        assert_eq!(warnings.len(), 2, "{:?}", out.report);
-        assert!(warnings[0].contains("rustc differs"), "{}", warnings[0]);
-        assert!(warnings[1].contains("host differs"), "{}", warnings[1]);
-    }
-
-    #[test]
-    fn bench_check_is_silent_on_matching_or_absent_provenance() {
-        // Same toolchain and host: no warning.
-        let tag = ("rustc 1.75.0", "x86_64-unknown-linux-gnu");
-        let baseline = with_provenance(bench_doc(&[("fig6", 2.0)], 2.0), tag.0, tag.1);
-        let fresh = with_provenance(bench_doc(&[("fig6", 2.0)], 2.0), tag.0, tag.1);
-        let out = bench_check(&fresh, &baseline).unwrap();
-        assert!(out.report.iter().all(|l| !l.starts_with("warning:")));
-        // Baselines from before the metadata existed: also no warning.
-        let old = bench_doc(&[("fig6", 2.0)], 2.0);
-        let fresh = with_provenance(bench_doc(&[("fig6", 2.0)], 2.0), tag.0, tag.1);
-        let out = bench_check(&fresh, &old).unwrap();
-        assert!(out.report.iter().all(|l| !l.starts_with("warning:")));
-    }
-
-    #[test]
-    fn bench_usage_mentions_the_bench_only_flags() {
-        let u = bench_usage();
-        for flag in ["--check", "--profile", "--workloads", "stage-prof"] {
-            assert!(u.contains(flag), "{flag} missing from bench usage");
         }
     }
 
@@ -2186,22 +1526,6 @@ mod tests {
         ] {
             assert!(u.contains(flag), "{flag} missing from trace usage");
         }
-    }
-
-    #[test]
-    fn calibration_entry_averages_the_probes() {
-        let e = calibration_entry(120.0, 80.0);
-        assert_eq!(
-            e.get("kernel").and_then(Json::as_str),
-            Some("mixwalk-8MiB-v1")
-        );
-        let mut doc = Json::object();
-        doc.set("calibration", e);
-        assert_eq!(bench_calibration(&doc), Some(100.0));
-        // Snapshots without a score (or with a zero score) yield None.
-        assert_eq!(bench_calibration(&Json::object()), None);
-        let zeroed = with_calibration(Json::object(), 0.0);
-        assert_eq!(bench_calibration(&zeroed), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Experiments as data: the declarative description of every paper
-//! figure and table, plus the registry the CLI and binaries select from.
+//! figure and table, plus the registry `gm-run` selects from.
 
 use ghostminion::{GhostMinionConfig, Scheme, SystemConfig};
 use gm_workloads::{Scale, Suite, WorkloadSet};
@@ -88,7 +88,8 @@ pub enum ExperimentKind {
 /// A registered experiment: a paper figure or table as data.
 #[derive(Clone, Debug)]
 pub struct Experiment {
-    /// Registry key (`fig6` … `table1`), also the binary name.
+    /// Registry key (`fig6` … `table1`); `gm-run --filter <name>` runs
+    /// exactly this experiment.
     pub name: &'static str,
     /// Report heading, matching the paper's figure caption.
     pub title: &'static str,
@@ -144,8 +145,39 @@ fn fu_order_lineup() -> Vec<SchemeCol> {
     ]
 }
 
-/// All ten experiments, in paper order. Every figure/table binary and
-/// the `gm-run` driver resolve their work from this list.
+/// All ten experiments, in paper order. `gm-run` resolves its work
+/// from this list.
+///
+/// The paper shape each entry's report should show:
+///
+/// * `fig6` — GhostMinion geomean ≈ 1.025 with mcf its ≈1.3 worst case;
+///   STT large on pointer-chasing workloads (astar, mcf, omnetpp,
+///   xalancbmk) and ≈1.0 on compute-bound ones; InvisiSpec-Future the
+///   most expensive overall.
+/// * `fig7` — GhostMinion ≈ 0% overhead; InvisiSpec variants the worst
+///   (up to ≈2.4×), driven by commit-time coherence work.
+/// * `fig8` — lower overheads than SPEC2006 across the board
+///   (GhostMinion ≈ 0.6% geomean); mcf and wrf keep visible GhostMinion
+///   overhead from lost misspeculated prefetching.
+/// * `fig9` — most of the overhead comes from the data-side minion and
+///   the coherence extension; the instruction side is ≈0; TimeGuarding
+///   over the timeless minion adds only ≈0.2%.
+/// * `fig10` — TimeGuards, timeleaps and leapfrogs are all rare (< 7% of
+///   loads in the worst case); soplex stands out for timeleaps, and
+///   mcf/libquantum/omnetpp for leapfrogs.
+/// * `fig11` — 4 KiB ≈ 2 KiB ≈ 1 KiB; spikes appear at 512 B and below as
+///   lines leave the minion before commit and must be re-fetched from
+///   memory; asynchronous reload removes the spikes.
+/// * `power` — ≤3 µW data-side and ≤1 µW instruction-side maximum
+///   dynamic draw, negligible against ≈1 W per core.
+/// * `security` — the unsafe baseline leaks everything; MuonTrap (no
+///   flush) still leaks classic Spectre to a same-address-space
+///   attacker; GhostMinion without §4.9 FU ordering leaks the divider
+///   channel and closes it with FU ordering on; full GhostMinion closes
+///   the cache and MSHR channels.
+/// * `fu_order` — no workload slows by more than ≈0.08%; several speed
+///   up slightly (the paper reports a small geomean *speedup*), because
+///   favouring older operations drains the reorder buffer faster.
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -303,6 +335,12 @@ mod tests {
         assert!(names.contains(&"fig10") && names.contains(&"fig11"));
         assert!(matching("nope").is_empty());
         assert_eq!(matching("").len(), 10);
+        // Every full name selects exactly its own experiment, so
+        // `gm-run --filter <name>` runs one figure and nothing else.
+        for e in registry() {
+            let names: Vec<&str> = matching(e.name).iter().map(|m| m.name).collect();
+            assert_eq!(names, [e.name]);
+        }
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The experiment harness behind every figure/table binary and the
-//! `gm-run` driver.
+//! The experiment harness behind the `gm-run` driver.
 //!
 //! The subsystem is layered:
 //!
@@ -23,11 +22,9 @@
 //! * [`telemetry`] — append-only JSON-lines span events (`--telemetry`)
 //!   for the run, each experiment, and each job, plus the strict
 //!   validator CI runs over emitted streams;
-//! * [`cli`] — argument parsing plus the `main` bodies of the thin
-//!   figure binaries and the `gm-run` driver.
-//!
-//! Every binary in `src/bin/` is a one-line client: it names its
-//! registry entry and delegates to [`cli::figure_main`].
+//! * [`cli`] — argument parsing plus the `main` body of the `gm-run`
+//!   driver, the crate's one binary: `gm-run --filter <name>` runs one
+//!   registry entry.
 
 pub mod cli;
 pub mod experiment;

@@ -13,10 +13,10 @@
 //! so the non-profiling build carries literally nothing: with the
 //! feature off, the gate compiles down to the bare predicate branch.
 //! Consequently the numbers aggregate over *all* cores and runs since
-//! the last [`reset`]; the bench driver resets around each experiment
+//! the last [`reset`]; `gm-run` resets before each sweep experiment
 //! and snapshots after it. Concurrent simulations would blend their
 //! counts — acceptable for a diagnosis build, meaningless only if you
-//! profile two experiments at once (the bench driver does not).
+//! profile two experiments at once (`gm-run` runs them in turn).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
