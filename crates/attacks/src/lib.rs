@@ -19,6 +19,10 @@
 //! * [`speculative_interference`] — the MSHR-occupancy channel (Behnia
 //!   et al.): transient loads, gated on a secret bit, consume MSHRs and
 //!   delay an older load. Closed by leapfrogging (§4.5).
+//!
+//! [`ATTACKS`] names the three in the security matrix's column order.
+//! [`spectre_v1_byte`] and [`spectre_v1_string`] run the string-recovery
+//! demo, one independent machine run per attempt.
 
 mod interference;
 mod rewind;
@@ -26,7 +30,7 @@ mod v1;
 
 pub use interference::speculative_interference;
 pub use rewind::spectre_rewind;
-pub use v1::{spectre_v1, spectre_v1_string};
+pub use v1::{spectre_v1, spectre_v1_byte, spectre_v1_string};
 
 /// Test/debug hook: exposes the interference attack program.
 #[doc(hidden)]
@@ -53,15 +57,16 @@ pub struct AttackOutcome {
     pub evidence: String,
 }
 
-/// Runs all three attacks against `scheme` and returns the outcomes in
-/// order (v1, rewind, interference).
-pub fn run_all(scheme: Scheme) -> Vec<AttackOutcome> {
-    vec![
-        spectre_v1(scheme),
-        spectre_rewind(scheme),
-        speculative_interference(scheme),
-    ]
-}
+/// One attack: runs against a scheme and reports whether it leaked.
+pub type Attack = fn(Scheme) -> AttackOutcome;
+
+/// The three attacks of the security matrix, in column order, each with
+/// its report name.
+pub const ATTACKS: [(&str, Attack); 3] = [
+    ("spectre-v1", spectre_v1),
+    ("rewind", spectre_rewind),
+    ("interference", speculative_interference),
+];
 
 #[cfg(test)]
 mod tests {
@@ -143,6 +148,14 @@ mod tests {
     fn interference_closed_by_ghostminion_leapfrogging() {
         let o = speculative_interference(Scheme::ghost_minion());
         assert!(!o.leaked, "{}", o.evidence);
+    }
+
+    #[test]
+    fn string_is_its_bytes_recovered_one_by_one() {
+        let scheme = Scheme::unsafe_baseline();
+        let secret = b"GM";
+        let bytes: Vec<u8> = secret.iter().map(|&b| spectre_v1_byte(scheme, b)).collect();
+        assert_eq!(spectre_v1_string(scheme, secret), (bytes, secret.to_vec()));
     }
 
     #[test]

@@ -226,18 +226,20 @@ pub fn spectre_v1(scheme: Scheme) -> AttackOutcome {
     }
 }
 
-/// Leaks a whole string one byte per machine run (the classic PoC loop),
-/// retrying each byte with a different probe order when the timing signal
-/// is inconclusive. Returns `(recovered, planted)`.
+/// Leaks one planted byte with one machine run per attempt, retrying
+/// with a different probe order (up to four in all) while the timing
+/// signal is inconclusive. Returns the recovered byte, or 0 if no attempt
+/// gave a clear signal.
+pub fn spectre_v1_byte(scheme: Scheme, secret: u8) -> u8 {
+    (0..4)
+        .map(|salt| run_salted(scheme, secret, salt).0)
+        .find(|&got| got != 0)
+        .unwrap_or(0)
+}
+
+/// Leaks a whole string one byte at a time (the classic PoC loop), each
+/// byte by [`spectre_v1_byte`]. Returns `(recovered, planted)`.
 pub fn spectre_v1_string(scheme: Scheme, secret: &[u8]) -> (Vec<u8>, Vec<u8>) {
-    let recovered = secret
-        .iter()
-        .map(|&b| {
-            (0..4)
-                .map(|salt| run_salted(scheme, b, salt).0)
-                .find(|&got| got != 0)
-                .unwrap_or(0)
-        })
-        .collect();
+    let recovered = secret.iter().map(|&b| spectre_v1_byte(scheme, b)).collect();
     (recovered, secret.to_vec())
 }

@@ -20,7 +20,7 @@ use crate::telemetry::{self, Telemetry};
 use gm_results::ResultStore;
 use gm_stats::Json;
 use gm_workloads::Scale;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process exit codes, shared by every `gm-run` entry point.
 /// Centralised so the meanings cannot drift between subcommands.
@@ -441,8 +441,10 @@ fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
     for exp in experiments {
         #[cfg(feature = "stage-prof")]
         gm_sim::prof::reset();
+        let started = Instant::now();
         let out = run_experiment(&runner, exp, opts.scale, store.as_ref(), telemetry.as_ref())
             .unwrap_or_else(|e| fail(program, &format!("{}: {e}", exp.name)));
+        let wall = started.elapsed();
         print!("{}", report_text(exp.title, &out));
         if matches!(exp.kind, ExperimentKind::Sweep(_)) {
             let mut line = format!(
@@ -465,6 +467,10 @@ fn run_and_emit(program: &str, experiments: &[Experiment], opts: &Options) {
             if !out.failures.is_empty() {
                 line.push_str(&format!(", {} FAILED", out.failures.len()));
             }
+            // Host time of the whole experiment: workload build,
+            // fingerprints and store reads included, which a warm run
+            // spends while simulating nothing.
+            line.push_str(&format!(", {:.2}s wall", wall.as_secs_f64()));
             eprintln!("{line}");
             #[cfg(feature = "stage-prof")]
             stage_profile_report(program, exp.name);

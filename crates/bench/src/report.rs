@@ -5,7 +5,7 @@ use crate::experiment::{Experiment, ExperimentKind, Report, Sweep};
 use crate::runner::{CacheStats, JobFailure, Runner, Shard, SweepResults, SweepRun};
 use crate::telemetry::Telemetry;
 use ghostminion::{Scheme, SystemConfig};
-use gm_attacks::{run_all, spectre_rewind, spectre_v1_string};
+use gm_attacks::{spectre_rewind, spectre_v1_byte, Attack, ATTACKS};
 use gm_results::{job_record, ResultStore};
 use gm_stats::{geomean, Json, Table};
 use gm_workloads::Scale;
@@ -304,56 +304,81 @@ pub fn sweep_results_json(sweep: &Sweep, run: &SweepRun) -> Json {
     Json::Array(jobs)
 }
 
-/// The security litmus matrix: every attack against every scheme in the
-/// figure lineup (parallel over schemes), plus the §4.9 strict-FU
-/// variant and the Spectre v1 string-recovery demo.
-fn security_report(runner: &Runner) -> ExperimentOutput {
-    const ATTACKS: [&str; 3] = ["spectre-v1", "rewind", "interference"];
-    let schemes = Scheme::figure_lineup();
-    let outcomes = runner.map(&schemes, |&s| run_all(s));
+/// One independent attack run of the security experiment.
+enum AttackRun {
+    /// One matrix cell: an attack against a scheme.
+    Cell(Scheme, Attack),
+    /// One byte of the Spectre v1 string-recovery demo on Unsafe.
+    Byte(u8),
+}
 
-    let mut table = Table::new(vec![
-        "scheme".into(),
-        ATTACKS[0].into(),
-        ATTACKS[1].into(),
-        ATTACKS[2].into(),
-    ]);
+/// The security litmus matrix: every attack against every scheme in the
+/// figure lineup, plus the §4.9 strict-FU variant and the Spectre v1
+/// string-recovery demo. All of them are independent machine runs, so
+/// they go to the runner as one flat list: one run per secret byte
+/// first (the longest runs, so the pool does not end on one of them),
+/// then the 24 matrix cells and the §4.9 rewind.
+fn security_report(runner: &Runner) -> ExperimentOutput {
+    const SECRET: &[u8] = b"GHOST";
+    let schemes = Scheme::figure_lineup();
+    // GhostMinion with §4.9 FU ordering closes the divider channel.
+    let mut strict = Scheme::ghost_minion();
+    strict.strict_fu_order = true;
+
+    let mut runs: Vec<AttackRun> = SECRET.iter().map(|&b| AttackRun::Byte(b)).collect();
+    runs.extend(schemes.iter().flat_map(|&s| {
+        ATTACKS
+            .iter()
+            .map(move |&(_, attack)| AttackRun::Cell(s, attack))
+    }));
+    runs.push(AttackRun::Cell(strict, spectre_rewind));
+    // A byte run reports the byte it recovered; a cell, whether the
+    // attack leaked.
+    let outcomes = runner.map(&runs, |run| match *run {
+        AttackRun::Byte(b) => spectre_v1_byte(Scheme::unsafe_baseline(), b),
+        AttackRun::Cell(scheme, attack) => u8::from(attack(scheme).leaked),
+    });
+    let (recovered, cells) = outcomes.split_at(SECRET.len());
+    let (&rewind, matrix) = cells.split_last().expect("the §4.9 rewind ran last");
+    let leaked = |o: u8| o != 0;
+
+    let mut table = Table::new(
+        std::iter::once("scheme".to_owned())
+            .chain(ATTACKS.iter().map(|&(name, _)| name.to_owned()))
+            .collect(),
+    );
     let mut results = Vec::new();
     let verdict = |leaked: bool| if leaked { "LEAKS" } else { "safe" };
-    for (scheme, per_scheme) in schemes.iter().zip(&outcomes) {
+    for (scheme, per_scheme) in schemes.iter().zip(matrix.chunks_exact(ATTACKS.len())) {
         let mut cells = vec![scheme.name().to_owned()];
-        for (attack, o) in ATTACKS.iter().zip(per_scheme) {
-            cells.push(verdict(o.leaked).to_owned());
+        for (&(attack, _), &o) in ATTACKS.iter().zip(per_scheme) {
+            cells.push(verdict(leaked(o)).to_owned());
             let mut job = Json::object();
             job.set("scheme", scheme.name())
-                .set("attack", *attack)
-                .set("leaked", o.leaked);
+                .set("attack", attack)
+                .set("leaked", leaked(o));
             results.push(job);
         }
         table.row(cells);
     }
 
-    // GhostMinion with §4.9 FU ordering closes the divider channel.
-    let mut strict = Scheme::ghost_minion();
-    strict.strict_fu_order = true;
-    let rewind = spectre_rewind(strict);
+    let rewind = leaked(rewind);
     table.row(vec![
         "GhostMinion+\u{a7}4.9".into(),
         "safe".into(),
-        verdict(rewind.leaked).into(),
+        verdict(rewind).into(),
         "safe".into(),
     ]);
     let mut job = Json::object();
     job.set("scheme", "GhostMinion+\u{a7}4.9")
         .set("attack", "rewind")
-        .set("leaked", rewind.leaked);
+        .set("leaked", rewind);
     results.push(job);
 
-    let (recovered, planted) = spectre_v1_string(Scheme::unsafe_baseline(), b"GHOST");
     let postamble = vec![format!(
         "spectre-v1 string recovery on Unsafe: planted {:?}, recovered {:?}",
-        String::from_utf8_lossy(&planted),
-        String::from_utf8_lossy(&recovered)
+        String::from_utf8_lossy(SECRET),
+        String::from_utf8_lossy(recovered)
     )];
 
     ExperimentOutput::non_sweep(table, Vec::new(), postamble, Json::Array(results))

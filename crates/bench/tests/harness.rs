@@ -66,6 +66,21 @@ fn jobs4_is_bit_identical_to_jobs1() {
 }
 
 #[test]
+fn security_report_is_bit_identical_across_worker_counts() {
+    // The attack runs go to the pool as one flat list and finish in any
+    // order; the report must not show it.
+    let exp = experiment::find("security").expect("registry has security");
+    let run = |jobs| {
+        let out = run_experiment(&Runner::new(jobs), &exp, Scale::Test, None, None).unwrap();
+        (report_text(exp.title, &out), out.results.render())
+    };
+    let (text1, json1) = run(1);
+    let (text4, json4) = run(4);
+    assert_eq!(text1, text4, "security report must not depend on --jobs");
+    assert_eq!(json1, json4, "security JSON must not depend on --jobs");
+}
+
+#[test]
 fn store_backed_json_is_bit_identical_across_worker_counts() {
     // Per-job JSON carries wall-clock, so byte-identity across runs holds
     // when both runs replay the same store (hits report the stored wall).

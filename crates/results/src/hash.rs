@@ -8,6 +8,23 @@
 //! incremental API matters: workload programs carry multi-MiB data
 //! arenas, and fingerprinting streams them through the compression
 //! function without building a serialized copy first.
+//!
+//! Two block compressors compute the same function:
+//!
+//! * the **portable** one, a direct transcription of FIPS 180-4 §6.2.2
+//!   in plain Rust. It runs on every CPU and is the reference the other
+//!   is tested against (`accelerated_matches_portable` below, on top of
+//!   the FIPS vectors);
+//! * the **SHA-NI** one, built on the x86-64 SHA extensions
+//!   (`sha256rnds2`, `sha256msg1/2`), several times faster per block.
+//!
+//! [`Sha256::new`] picks the SHA-NI compressor when the running CPU
+//! reports `sha`, `ssse3` and `sse4.1` (`is_x86_feature_detected!`), and
+//! the portable one otherwise — always on non-x86-64 targets. Nothing
+//! else selects a path: there is no flag, environment variable or cargo
+//! feature, and both produce the same digests byte for byte.
+//! [`Sha256::update`] hands the compressor every whole 64-byte block of
+//! a call at once, so the choice is paid once per call, not per block.
 
 /// Per FIPS 180-4 §4.2.2: the first 32 bits of the fractional parts of
 /// the cube roots of the first 64 primes.
@@ -22,6 +39,49 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// Which block compressor a hasher runs; see the module docs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Compressor {
+    Portable,
+    /// Produced only by [`Compressor::detect`], after the CPU has
+    /// reported every feature `shani::compress_blocks` is compiled for.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Compressor {
+    /// The fastest compressor the running CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Self::ShaNi;
+        }
+        Self::Portable
+    }
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks, in
+    /// message order) into `state`.
+    fn run(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self {
+            Self::Portable => {
+                for block in blocks.chunks_exact(64) {
+                    compress(state, block.try_into().expect("chunk is 64 bytes"));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `ShaNi` is only constructed by `detect`, after
+            // `is_x86_feature_detected!` confirmed the sha, ssse3 and
+            // sse4.1 features `compress_blocks` is compiled for (sse2 is
+            // part of the x86-64 baseline).
+            Self::ShaNi => unsafe { shani::compress_blocks(state, blocks) },
+        }
+    }
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -33,6 +93,8 @@ pub struct Sha256 {
     buf_len: usize,
     /// Total message length in bytes.
     total: u64,
+    /// The block compressor chosen for this CPU.
+    compressor: Compressor,
 }
 
 impl Default for Sha256 {
@@ -44,6 +106,10 @@ impl Default for Sha256 {
 impl Sha256 {
     /// A fresh hasher (FIPS 180-4 §5.3.3 initial state).
     pub fn new() -> Self {
+        Self::with_compressor(Compressor::detect())
+    }
+
+    fn with_compressor(compressor: Compressor) -> Self {
         Self {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -52,6 +118,7 @@ impl Sha256 {
             buf: [0; 64],
             buf_len: 0,
             total: 0,
+            compressor,
         }
     }
 
@@ -68,15 +135,14 @@ impl Sha256 {
                 // Partial buffer and nothing left to absorb.
                 return;
             }
-            let block = self.buf;
-            self.compress(&block);
+            self.compressor.run(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            self.compress(block.try_into().expect("chunk is 64 bytes"));
+        let whole = rest.len() - rest.len() % 64;
+        let (blocks, tail) = rest.split_at(whole);
+        if !blocks.is_empty() {
+            self.compressor.run(&mut self.state, blocks);
         }
-        let tail = chunks.remainder();
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -84,11 +150,13 @@ impl Sha256 {
     /// Finishes the message and returns the 32-byte digest.
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // 0x80, zeros up to 56 mod 64, then the 64-bit length: one
+        // update that ends exactly on a block boundary.
+        let zeros = (119 - self.buf_len) % 64;
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..9 + zeros]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -99,51 +167,126 @@ impl Sha256 {
 
     /// Finishes and formats the digest as lowercase hex.
     pub fn finish_hex(self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.finish() {
-            s.push_str(&format!("{b:02x}"));
+            s.push(HEX[usize::from(b >> 4)].into());
+            s.push(HEX[usize::from(b & 0xf)].into());
         }
         s
     }
+}
 
-    /// One compression round over a 64-byte block (FIPS 180-4 §6.2.2).
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+/// The portable compressor: one round over a 64-byte block (FIPS 180-4
+/// §6.2.2).
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The SHA-NI compressor (Intel SHA Extensions; Gulley et al., 2013).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Compresses `blocks` (a whole number of 64-byte blocks) into
+    /// `state`.
+    ///
+    /// The SHA instructions keep the eight working variables as two
+    /// vectors, ABEF and CDGH (highest lane first), so the state is
+    /// shuffled into that layout once on entry and back once on exit.
+    /// Each `sha256rnds2` runs two rounds; `sha256msg1/2` extend the
+    /// message schedule four words at a time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order: every 32-bit message word is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `state` is 32 bytes; the unaligned loads read its two halves.
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // `block` is 64 bytes: four 16-byte unaligned loads.
+            let p: *const __m128i = block.as_ptr().cast();
+            // The last four schedule vectors, W[4i-16..4i] in order.
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(p), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), bswap),
+                _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), bswap),
+            ];
+            for i in 0..16 {
+                let msg = if i < 4 {
+                    w[i]
+                } else {
+                    // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+                    let t = _mm_add_epi32(
+                        _mm_sha256msg1_epu32(w[0], w[1]),
+                        _mm_alignr_epi8(w[3], w[2], 4),
+                    );
+                    let next = _mm_sha256msg2_epu32(t, w[3]);
+                    w = [w[1], w[2], w[3], next];
+                    next
+                };
+                // `K` has 64 words: the load reads K[4i..4i+4].
+                let wk = _mm_add_epi32(msg, _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
     }
 }
 
@@ -209,5 +352,66 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finish_hex(), sha256_hex(&data), "split at {split}");
         }
+    }
+
+    /// The hex digest of `parts`, fed in order, under `compressor`.
+    fn digest(compressor: Compressor, parts: &[&[u8]]) -> String {
+        let mut h = Sha256::with_compressor(compressor);
+        for part in parts {
+            h.update(part);
+        }
+        h.finish_hex()
+    }
+
+    /// Deterministic, non-periodic test bytes.
+    fn bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn accelerated_matches_portable() {
+        let fast = Compressor::detect();
+        if fast == Compressor::Portable {
+            eprintln!(
+                "no SHA-NI on this CPU: only the portable compressor runs here, \
+                 so this test checks it alone (the FIPS vectors pin it)"
+            );
+        }
+        assert_eq!(
+            Sha256::new().compressor,
+            fast,
+            "new() uses the detected path"
+        );
+        let data = bytes(4 << 20);
+        for len in 0..=300 {
+            let msg = &data[..len];
+            let want = digest(Compressor::Portable, &[msg]);
+            assert_eq!(digest(fast, &[msg]), want, "length {len}");
+            assert_eq!(sha256_hex(msg), want, "length {len}");
+        }
+        let msg = &data[..1000];
+        let want = digest(Compressor::Portable, &[msg]);
+        for split in 0..=msg.len() {
+            let (a, b) = msg.split_at(split);
+            assert_eq!(digest(fast, &[a, b]), want, "split at {split}");
+            assert_eq!(
+                digest(Compressor::Portable, &[a, b]),
+                want,
+                "split at {split}"
+            );
+        }
+        assert_eq!(
+            digest(fast, &[&data]),
+            digest(Compressor::Portable, &[&data]),
+            "4 MiB buffer"
+        );
     }
 }
